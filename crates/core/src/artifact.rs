@@ -15,20 +15,23 @@
 //!   `'static`, so an `Arc<SimArtifact>` can be sampled concurrently by any
 //!   number of tenants.
 //! * [`ArtifactCache`] — a bounded, fingerprint-keyed, byte-budgeted LRU
-//!   store of `Arc<SimArtifact>`s.  Attach one to a simulator with
-//!   [`WeakSimulator::with_cache`](crate::WeakSimulator::with_cache): every
-//!   eligible `run` first consults the cache, and a hit skips strong
+//!   store of `Arc<SimArtifact>`s.  The
+//!   [`ServiceBroker`](crate::service::ServiceBroker) is its front door:
+//!   every eligible `serve` first consults the cache, and a hit skips strong
 //!   simulation *and* sampler compilation entirely.
+//!
+//! Every noise-free static request goes through an artifact, cached or
+//! not: [`WeakSimulator::run`](crate::WeakSimulator::run) prepares one,
+//! samples it and drops it; the broker prepares one and keeps it.
 //!
 //! # Reproducibility
 //!
-//! [`SimArtifact::sample`] draws with exactly the RNG scheme of the engine
-//! that would have produced the shots uncached — chunked SplitMix64 streams
-//! for the decision-diagram and tableau paths, one sequential `StdRng` for
-//! the dense path — so a cached histogram is **bit-identical** to the
-//! uncached run with the same seed, and two tenants sampling one shared
-//! artifact with different seeds draw independent, individually
-//! reproducible shot streams.
+//! [`SimArtifact::sample`] is the only static sampling loop — chunked
+//! SplitMix64 streams for the decision-diagram and tableau samplers, one
+//! sequential `StdRng` for the dense prefix sums — so a cached histogram is
+//! **bit-identical** to a plain run with the same seed, and two tenants
+//! sampling one shared artifact with different seeds draw independent,
+//! individually reproducible shot streams.
 //!
 //! # Keys
 //!
@@ -40,14 +43,15 @@
 //! parameter — produces a different key and a rebuild.
 
 use crate::govern::RunGovernor;
-use crate::router::{map_terminal_words, RunRoute};
+use crate::router::{draw_chunked, map_terminal_words, RunRoute};
 use crate::simulator::{map_terminal_record, Backend, RunError, StrongState};
 use crate::ShotHistogram;
-use circuit::Qubit;
-use dd::{chunk_stream_seed, CompiledSampler, DdStats, PARALLEL_CHUNK_SHOTS};
+use circuit::{Circuit, Qubit};
+use dd::{CompiledSampler, DdStats, PARALLEL_CHUNK_SHOTS};
 use rand::rngs::{SmallRng, StdRng};
 use rand::SeedableRng;
 use statevector::PrefixSampler;
+use std::convert::Infallible;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use tableau::MeasurementSampler;
@@ -80,9 +84,9 @@ impl PreparedSampler {
 /// detached from every borrowed resource so it can outlive its builder and
 /// be shared across threads and runs.
 ///
-/// Obtain artifacts through an [`ArtifactCache`] attached with
-/// [`WeakSimulator::with_cache`](crate::WeakSimulator::with_cache); sample
-/// them (concurrently, if desired) with [`SimArtifact::sample`].
+/// Obtain artifacts from the [`ArtifactCache`] a
+/// [`ServiceBroker`](crate::service::ServiceBroker) fills; sample them
+/// (concurrently, if desired) with [`SimArtifact::sample`].
 #[derive(Debug)]
 pub struct SimArtifact {
     sampler: PreparedSampler,
@@ -111,6 +115,7 @@ impl SimArtifact {
         route: RunRoute,
         build_strong_time: Duration,
     ) -> Result<Self, RunError> {
+        check_sample_width(state.backend(), state.num_qubits())?;
         let precompute_start = Instant::now();
         let sampler = match state {
             StrongState::DecisionDiagram { package, state } => {
@@ -134,33 +139,34 @@ impl SimArtifact {
         })
     }
 
-    /// Builds an artifact around a prepared tableau sampler (the router's
-    /// static fully-Clifford path).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_tableau(
-        sampler: MeasurementSampler,
-        mapping: Vec<(Qubit, u16)>,
-        num_qubits: u16,
-        record_width: u16,
-        backend: Backend,
-        route: RunRoute,
-        build_strong_time: Duration,
-        build_precompute_time: Duration,
-    ) -> Self {
-        // The stabilizer generator count, as reported by the router.
-        let representation_size = 2 * usize::from(num_qubits).max(1) as u128;
-        Self {
+    /// Prepares a static fully-Clifford `circuit` on the stabilizer tableau
+    /// (the router's tableau route): one evolution of the unitary prefix,
+    /// then the affine-subspace sampler.  Returns `None` when the tableau
+    /// rejects an operation, so the caller can degrade to the dense path.
+    /// `backend` is the configured dense backend the outcome reports.
+    pub(crate) fn from_clifford(circuit: &Circuit, backend: Backend) -> Option<Self> {
+        let (prefix, mapping) = circuit.split_terminal_measurements()?;
+        let strong_start = Instant::now();
+        // The RNG is never consulted: the prefix is measure-free.
+        let (tab, _record) = tableau::simulate(&prefix, &mut SmallRng::seed_from_u64(0)).ok()?;
+        let build_strong_time = strong_start.elapsed();
+        let precompute_start = Instant::now();
+        let sampler = tab.measurement_sampler();
+        let build_precompute_time = precompute_start.elapsed();
+        Some(Self {
             sampler: PreparedSampler::Tableau(sampler),
             mapping,
-            num_qubits,
-            record_width,
+            num_qubits: circuit.num_qubits(),
+            record_width: circuit.num_clbits(),
             backend,
-            route,
+            route: RunRoute::tableau(circuit.len()),
             dd_stats: None,
-            representation_size,
+            // The stabilizer generator count: the tableau analogue of DD
+            // node count / dense amplitude count.
+            representation_size: 2 * usize::from(circuit.num_qubits()).max(1) as u128,
             build_strong_time,
             build_precompute_time,
-        }
+        })
     }
 
     /// The prepared sampler.
@@ -389,12 +395,12 @@ impl SimArtifact {
 
     /// Draws `shots` seed-deterministic samples.
     ///
-    /// The RNG scheme matches the engine that built the artifact exactly —
-    /// chunked SplitMix64 streams (thread-count independent) for the
-    /// decision-diagram and tableau paths, one sequential `StdRng` for the
-    /// dense path — so the histogram is bit-identical to the uncached run
-    /// with the same seed.  `&self` only: any number of threads may sample
-    /// one shared artifact concurrently, each with its own seed stream.
+    /// Chunked SplitMix64 streams (thread-count independent) drive the
+    /// decision-diagram and tableau samplers, one sequential `StdRng` the
+    /// dense prefix sums, so the histogram depends only on the artifact and
+    /// the seed — cached or not.  `&self` only: any number of threads may
+    /// sample one shared artifact concurrently, each with its own seed
+    /// stream.
     #[must_use]
     pub fn sample(&self, shots: u64, seed: u64) -> ShotHistogram {
         let width = if self.mapping.is_empty() {
@@ -407,8 +413,8 @@ impl SimArtifact {
             PreparedSampler::DecisionDiagram(sampler) => {
                 // Whole parallel chunks per batch, advancing chunk offsets:
                 // stitching consecutive calls reproduces one giant
-                // `sample_many_parallel` call exactly (the DD engine's
-                // scheme, verbatim).
+                // `sample_many_parallel` call exactly, while each allocation
+                // stays comfortably inside `usize` even on 32-bit targets.
                 const BATCH_CHUNKS: u64 = 1024;
                 let batch_shots = BATCH_CHUNKS * PARALLEL_CHUNK_SHOTS as u64;
                 let threads = rayon::current_num_threads();
@@ -447,33 +453,32 @@ impl SimArtifact {
                 }
             }
             PreparedSampler::Tableau(sampler) => {
-                // The router's chunk-seeded draw loop, inlined (sampling
-                // from a prepared tableau sampler is infallible).
-                let chunk_len = PARALLEL_CHUNK_SHOTS as u64;
-                let total_chunks = shots.div_ceil(chunk_len);
-                if self.mapping.is_empty() {
-                    for chunk_index in 0..total_chunks {
-                        let chunk_shots = chunk_len.min(shots - chunk_index * chunk_len);
-                        let mut rng = SmallRng::seed_from_u64(chunk_stream_seed(seed, chunk_index));
-                        for _ in 0..chunk_shots {
-                            histogram.record(sampler.sample_u64(&mut rng));
-                        }
-                    }
-                } else {
-                    let mut buf = vec![0u64; sampler.num_qubits().div_ceil(64)];
-                    for chunk_index in 0..total_chunks {
-                        let chunk_shots = chunk_len.min(shots - chunk_index * chunk_len);
-                        let mut rng = SmallRng::seed_from_u64(chunk_stream_seed(seed, chunk_index));
-                        for _ in 0..chunk_shots {
-                            sampler.sample_into(&mut buf, &mut rng);
-                            histogram.record(map_terminal_words(&buf, &self.mapping));
-                        }
-                    }
-                }
+                // An unmapped register keeps the low word: the documented
+                // truncation of the `u64`-keyed histogram beyond 64 qubits.
+                let mut buf = vec![0u64; sampler.num_qubits().div_ceil(64)];
+                let Ok(()) = draw_chunked(shots, seed, |rng| -> Result<(), Infallible> {
+                    sampler.sample_into(&mut buf, rng);
+                    histogram.record(if self.mapping.is_empty() {
+                        buf[0]
+                    } else {
+                        map_terminal_words(&buf, &self.mapping)
+                    });
+                    Ok(())
+                });
             }
         }
         histogram
     }
+}
+
+/// Refuses a decision-diagram register wider than the compiled sampler's
+/// 64-bit samples.  The dense backend needs no check: it fails with
+/// [`RunError::MemoryOut`] long before a 65-qubit vector could be sampled.
+pub(crate) fn check_sample_width(backend: Backend, num_qubits: u16) -> Result<(), RunError> {
+    if backend == Backend::DecisionDiagram && num_qubits > 64 {
+        return Err(RunError::RegisterTooWide { num_qubits });
+    }
+    Ok(())
 }
 
 /// Number of `u64` words a [`DdStats`] serializes to.
@@ -603,8 +608,8 @@ pub enum CacheOutcome {
     /// The artifact was built by a *concurrent* request with the same
     /// fingerprint: this request waited on the shared build slot and was
     /// served the published artifact without building (or re-querying the
-    /// cache).  Only the [`ServiceBroker`](crate::service::ServiceBroker)
-    /// produces this outcome — plain cached runs report hits and misses.
+    /// cache).  Only concurrent cold requests to one
+    /// [`ServiceBroker`](crate::service::ServiceBroker) produce this outcome.
     Coalesced,
 }
 
@@ -662,11 +667,37 @@ impl CacheInner {
             self.evictions += 1;
         }
     }
+
+    /// Stores `artifact` under `key`: replaces any existing entry for the
+    /// key, then (under a byte budget) evicts least-recently-used entries
+    /// until it fits — or skips retaining it when it exceeds the whole
+    /// budget.  Counts no insertion; that is the caller's traffic to count.
+    fn retain(&mut self, key: [u64; 2], artifact: Arc<SimArtifact>) {
+        let bytes = artifact.heap_bytes() as u64;
+        if let Some(existing) = self.entries.iter().position(|entry| entry.key == key) {
+            let removed = self.entries.swap_remove(existing);
+            self.bytes -= removed.bytes;
+        }
+        if let Some(budget) = self.byte_budget {
+            if bytes > budget {
+                return;
+            }
+            self.evict_to_fit(bytes, budget);
+        }
+        self.tick += 1;
+        self.bytes += bytes;
+        self.entries.push(CacheEntry {
+            key,
+            artifact,
+            bytes,
+            last_used: self.tick,
+        });
+    }
 }
 
 /// A bounded, fingerprint-keyed store of [`Arc<SimArtifact>`]s shared
-/// across runs (and across simulator clones — the handle is cheaply
-/// cloneable and internally synchronized).
+/// across requests (and across brokers — the handle is cheaply cloneable
+/// and internally synchronized).
 ///
 /// Retention is LRU under an optional byte budget, following the bounded
 /// compute-cache idiom of the DD package: inserting over budget first
@@ -677,14 +708,15 @@ impl CacheInner {
 /// # Examples
 ///
 /// ```
-/// use weaksim::{ArtifactCache, Backend, CacheOutcome, WeakSimulator};
+/// use weaksim::{ArtifactCache, Backend, CacheOutcome, ServiceBroker, ServiceConfig, WeakSimulator};
 ///
 /// let circuit = algorithms::w_state(6);
 /// let cache = ArtifactCache::unbounded();
-/// let mut sim = WeakSimulator::new(Backend::DecisionDiagram).with_cache(&cache);
-/// let cold = sim.run(&circuit, 1000, 7)?;
+/// let broker = ServiceBroker::new(cache.clone(), ServiceConfig::default());
+/// let sim = WeakSimulator::new(Backend::DecisionDiagram);
+/// let cold = broker.serve(&sim, &circuit, 1000, 7)?;
 /// assert_eq!(cold.cache, Some(CacheOutcome::Miss));
-/// let warm = sim.run(&circuit, 1000, 7)?;
+/// let warm = broker.serve(&sim, &circuit, 1000, 7)?;
 /// assert_eq!(warm.cache, Some(CacheOutcome::Hit));
 /// assert_eq!(cold.histogram, warm.histogram); // same seed: bit-identical
 /// assert_eq!(cache.stats().hits, 1);
@@ -753,29 +785,10 @@ impl ArtifactCache {
     /// the newcomer fits; an artifact larger than the whole budget is
     /// returned without being retained.
     pub fn insert(&self, key: [u64; 2], artifact: SimArtifact) -> Arc<SimArtifact> {
-        let bytes = artifact.heap_bytes() as u64;
         let artifact = Arc::new(artifact);
         let mut inner = self.lock();
         inner.insertions += 1;
-        if let Some(existing) = inner.entries.iter().position(|entry| entry.key == key) {
-            let removed = inner.entries.swap_remove(existing);
-            inner.bytes -= removed.bytes;
-        }
-        if let Some(budget) = inner.byte_budget {
-            if bytes > budget {
-                return Arc::clone(&artifact);
-            }
-            inner.evict_to_fit(bytes, budget);
-        }
-        inner.tick += 1;
-        let last_used = inner.tick;
-        inner.bytes += bytes;
-        inner.entries.push(CacheEntry {
-            key,
-            artifact: Arc::clone(&artifact),
-            bytes,
-            last_used,
-        });
+        inner.retain(key, Arc::clone(&artifact));
         artifact
     }
 
@@ -875,27 +888,7 @@ impl ArtifactCache {
     /// without counting an insertion — restoring a snapshot is not request
     /// traffic.
     pub(crate) fn restore(&self, key: [u64; 2], artifact: Arc<SimArtifact>) {
-        let bytes = artifact.heap_bytes() as u64;
-        let mut inner = self.lock();
-        if let Some(existing) = inner.entries.iter().position(|entry| entry.key == key) {
-            let removed = inner.entries.swap_remove(existing);
-            inner.bytes -= removed.bytes;
-        }
-        if let Some(budget) = inner.byte_budget {
-            if bytes > budget {
-                return;
-            }
-            inner.evict_to_fit(bytes, budget);
-        }
-        inner.tick += 1;
-        let last_used = inner.tick;
-        inner.bytes += bytes;
-        inner.entries.push(CacheEntry {
-            key,
-            artifact,
-            bytes,
-            last_used,
-        });
+        self.lock().retain(key, artifact);
     }
 
     /// Locks the store.  A poisoned mutex is recovered, not propagated: the

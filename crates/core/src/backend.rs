@@ -3,25 +3,24 @@
 //!
 //! [`WeakSimulator`](crate::WeakSimulator) and the
 //! [`trajectory`](crate::trajectory) module never match on [`Backend`]
-//! themselves.  Each backend ships an [`Engine`] — the strong-simulation and
-//! sampling entry points plus the governor and memory hooks — and a
+//! themselves.  Each backend ships an [`Engine`] — the strong-simulation
+//! entry point plus the governor and memory hooks — and a
 //! [`TrajectoryRunner`] — the per-shot measure/reset/collapse primitives —
 //! and [`Backend::engine`] is the single dispatch table.  The trajectory
 //! shot loop (decision drawing, classical-record bookkeeping, event walk)
 //! is written once against [`TrajectoryRunner`], so the decision-diagram
 //! and statevector runners share one generic code path and a new engine
-//! only has to implement the two traits.
+//! only has to implement the two traits.  Static sampling is not an engine
+//! step: a strong state is turned into a prepared
+//! [`SimArtifact`](crate::SimArtifact), which draws every static shot.
 
 use crate::govern::RunGovernor;
-use crate::simulator::{map_terminal_record, Backend, RunError, StrongState};
+use crate::simulator::{Backend, RunError, StrongState};
 use crate::trajectory::{DdRunner, Event, SvRunner, TrajectoryPlan};
-use crate::ShotHistogram;
 use circuit::{Circuit, Qubit};
-use dd::{CompiledSampler, DdError, DdPackage, DdStats, Governor, PARALLEL_CHUNK_SHOTS};
-use rand::rngs::{SmallRng, StdRng};
-use rand::SeedableRng;
-use statevector::{MemoryBudget, PrefixSampler};
-use std::time::{Duration, Instant};
+use dd::{DdError, DdPackage, DdStats, Governor};
+use rand::rngs::SmallRng;
+use statevector::MemoryBudget;
 
 /// A strong-simulation engine: everything [`WeakSimulator`] needs from a
 /// backend outside the per-shot trajectory loop.
@@ -45,18 +44,6 @@ pub(crate) trait Engine: Sync {
         governor: &RunGovernor,
         construction_threads: Option<usize>,
     ) -> Result<StrongState, RunError>;
-
-    /// Draws `shots` samples from a state this engine produced, optionally
-    /// relabelling each sampled bitstring through a trailing-measurement
-    /// `(qubit, cbit)` mapping into a classical record of the given width.
-    /// Returns the histogram with the precompute and sampling times.
-    fn sample_with_record(
-        &self,
-        state: &StrongState,
-        shots: u64,
-        seed: u64,
-        record: Option<(&[(Qubit, u16)], u16)>,
-    ) -> Result<(ShotHistogram, Duration, Duration), RunError>;
 
     /// Pre-checks the peak memory a trajectory run with `workers` concurrent
     /// workers would allocate against `budget` (engines whose memory grows
@@ -152,59 +139,6 @@ impl Engine for DdEngine {
         Ok(StrongState::DecisionDiagram { package, state })
     }
 
-    fn sample_with_record(
-        &self,
-        strong: &StrongState,
-        shots: u64,
-        seed: u64,
-        record: Option<(&[(Qubit, u16)], u16)>,
-    ) -> Result<(ShotHistogram, Duration, Duration), RunError> {
-        let width = record.map_or(strong.num_qubits(), |(_, width)| width);
-        let mut histogram = ShotHistogram::new(width);
-        let StrongState::DecisionDiagram { package, state } = strong else {
-            unreachable!("sampling is dispatched through StrongState::backend")
-        };
-        let precompute_start = Instant::now();
-        // Compiled per call: cross-call reuse is the artifact layer's job
-        // (`SimArtifact` / `ArtifactCache` own the long-lived arena), so the
-        // strong state no longer carries a lazily-filled sampler cell.
-        let sampler = CompiledSampler::new(package, state)?;
-        let precompute_time = precompute_start.elapsed();
-
-        // Draw in batches of a whole number of parallel chunks: stitching
-        // consecutive `sample_batch_parallel` calls with advancing chunk
-        // offsets reproduces one giant call exactly, while each allocation
-        // stays comfortably inside `usize` even on 32-bit targets.
-        const BATCH_CHUNKS: u64 = 1024;
-        let batch_shots = BATCH_CHUNKS * PARALLEL_CHUNK_SHOTS as u64;
-        let threads = rayon::current_num_threads();
-        let sampling_start = Instant::now();
-        let mut drawn = 0u64;
-        while drawn < shots {
-            let batch = (shots - drawn).min(batch_shots);
-            // Infallible: `batch` is capped at BATCH_CHUNKS whole parallel
-            // chunks, well inside usize on every target.
-            #[allow(clippy::expect_used)]
-            let batch_len = usize::try_from(batch).expect("batch bounded to fit usize");
-            let samples = sampler.sample_batch_parallel(
-                seed,
-                drawn / PARALLEL_CHUNK_SHOTS as u64,
-                batch_len,
-                threads,
-            );
-            match record {
-                None => histogram.record_many(&samples),
-                Some((mapping, _)) => {
-                    for sample in samples {
-                        histogram.record(map_terminal_record(sample, mapping));
-                    }
-                }
-            }
-            drawn += batch;
-        }
-        Ok((histogram, precompute_time, sampling_start.elapsed()))
-    }
-
     fn check_trajectory_memory(
         &self,
         _num_qubits: u16,
@@ -235,36 +169,6 @@ impl Engine for SvEngine {
         // decision-diagram concept and is deliberately ignored here.
         let state = statevector::simulate_with_budget(circuit, budget)?;
         Ok(StrongState::StateVector(state))
-    }
-
-    fn sample_with_record(
-        &self,
-        strong: &StrongState,
-        shots: u64,
-        seed: u64,
-        record: Option<(&[(Qubit, u16)], u16)>,
-    ) -> Result<(ShotHistogram, Duration, Duration), RunError> {
-        let width = record.map_or(strong.num_qubits(), |(_, width)| width);
-        let mut histogram = ShotHistogram::new(width);
-        let StrongState::StateVector(vector) = strong else {
-            unreachable!("sampling is dispatched through StrongState::backend")
-        };
-        let mut rng = StdRng::seed_from_u64(seed);
-        let precompute_start = Instant::now();
-        let sampler = PrefixSampler::new(vector);
-        let precompute_time = precompute_start.elapsed();
-
-        let sampling_start = Instant::now();
-        for _ in 0..shots {
-            let sample = sampler.sample(&mut rng);
-            match record {
-                None => histogram.record(sample),
-                Some((mapping, _)) => {
-                    histogram.record(map_terminal_record(sample, mapping));
-                }
-            }
-        }
-        Ok((histogram, precompute_time, sampling_start.elapsed()))
     }
 
     fn check_trajectory_memory(

@@ -24,10 +24,11 @@
 //! * [`artifact`] — the pay-once layer: [`SimArtifact`] is a self-contained,
 //!   `Arc`-shared snapshot of everything a request needs *after* strong
 //!   simulation (a compiled DD sampler, dense prefix sums or a tableau
-//!   measurement sampler, plus route and stats), and [`ArtifactCache`] is a
-//!   bounded, fingerprint-keyed store ([`circuit::Circuit::fingerprint`])
-//!   that lets [`WeakSimulator::with_cache`] serve warm requests without
-//!   re-simulating — same seed, bit-identical histogram;
+//!   measurement sampler, plus route and stats).  Every static run prepares
+//!   one and samples it.  [`ArtifactCache`] is a bounded, fingerprint-keyed
+//!   store ([`circuit::Circuit::fingerprint`]) that lets
+//!   [`ServiceBroker::serve`] answer warm requests without re-simulating —
+//!   same seed, bit-identical histogram;
 //! * [`govern`] — run governance: attach a [`RunGovernor`] (node/byte
 //!   budgets, a per-run timeout, a shareable [`dd::CancelToken`]) with
 //!   [`WeakSimulator::with_governor`].  Static runs that hit a limit fail
@@ -35,7 +36,8 @@
 //!   gracefully, returning the completed shots plus an
 //!   [`Interruption`] reason;
 //! * [`service`] — the multi-threaded request broker around an
-//!   [`ArtifactCache`]: [`ServiceBroker`] coalesces concurrent
+//!   [`ArtifactCache`], and the only way to serve from a cache:
+//!   [`ServiceBroker`] coalesces concurrent
 //!   same-fingerprint cold builds single-flight, applies admission control
 //!   (bounded in-flight constructions plus a deadline-aware queue; shed
 //!   requests surface [`RunError::Overloaded`]) and persists the cache as
@@ -54,10 +56,11 @@
 //!
 //! * a circuit whose only non-unitary content is a *trailing* block of
 //!   `measure` operations (or none at all) is **static**: it is strong-
-//!   simulated once and sampled with the one-pass batched sampler of the
-//!   paper, the trailing measurements reduced to a bit-relabelling of the
-//!   sampled strings — so dynamic-circuit support costs the classic hot
-//!   path nothing;
+//!   simulated once into a [`SimArtifact`] and sampled with the one-pass
+//!   batched sampler of the paper, the trailing measurements reduced to a
+//!   bit-relabelling of the sampled strings — so dynamic-circuit support
+//!   costs the classic hot path nothing.  Plain runs and broker-served
+//!   runs share this one pipeline; the broker only adds the cache;
 //! * a circuit with a measurement followed by more gates, any `reset`, or
 //!   any classically-conditioned gate is **dynamic** and runs
 //!   trajectory-by-trajectory: collapse at each event, evolve the suffix

@@ -20,7 +20,10 @@
 //! * anything else **falls back** to whole-circuit dense execution.
 //!
 //! Whichever way a run goes, [`RunOutcome::route`](crate::RunOutcome::route)
-//! reports the engine that executed each segment.
+//! reports the engine that executed each segment.  [`route_plan`] alone
+//! makes the decision: static requests prepare a
+//! [`SimArtifact`](crate::SimArtifact) for the chosen route, and dynamic
+//! ones execute it shot by shot.
 //!
 //! Tableau-routed sampling follows the workspace seeding scheme — shots are
 //! split into [`PARALLEL_CHUNK_SHOTS`] chunks and chunk `i` draws from a
@@ -29,7 +32,7 @@
 //! tableau path is single-threaded; per-shot work is a handful of word
 //! operations, far below any parallelization threshold).
 
-use crate::simulator::{Backend, RunError, RunOutcome};
+use crate::simulator::{Backend, RunOutcome};
 use crate::ShotHistogram;
 use circuit::{Circuit, Operation, Qubit};
 use dd::{chunk_stream_seed, PARALLEL_CHUNK_SHOTS};
@@ -101,6 +104,16 @@ impl RunRoute {
         }
     }
 
+    /// The single-segment route of a run executed entirely on the tableau.
+    pub(crate) fn tableau(ops: usize) -> Self {
+        Self {
+            segments: vec![RouteSegment {
+                engine: EngineKind::Tableau,
+                ops,
+            }],
+        }
+    }
+
     /// Whether any segment ran on the stabilizer-tableau engine.
     #[must_use]
     pub fn used_tableau(&self) -> bool {
@@ -128,28 +141,10 @@ impl fmt::Display for RunRoute {
     }
 }
 
-/// The router's decision for one run.
-pub(crate) enum Routed {
-    /// The whole circuit ran on the tableau engine; the finished outcome
-    /// (boxed: it dwarfs the other variants).
-    Tableau(Box<RunOutcome>),
-    /// A Clifford prefix was folded into basis-state preparations; run
-    /// `stitched` on the dense backend and report `route`.
-    Stitched {
-        /// The remainder circuit, prefixed with `X` preparations.
-        stitched: Circuit,
-        /// The two-segment route to surface in the outcome.
-        route: RunRoute,
-    },
-    /// No tableau-eligible segment: run the original circuit densely.
-    Dense,
-}
-
-/// The routing *decision* alone, with no execution attached — shared by the
-/// executing [`route`] and the artifact-preparing cached path, so a cached
-/// run builds exactly the artifact its uncached twin would have used.
+/// The router's decision for one noiseless run (pure: no simulation runs).
 pub(crate) enum RoutePlan {
-    /// Fully Clifford: execute (or prepare a sampler) on the tableau engine.
+    /// Fully Clifford: prepare a sampler on (or, for dynamic circuits,
+    /// execute shot by shot on) the tableau engine.
     FullyClifford,
     /// A Clifford prefix was folded into basis-state preparations; run
     /// `stitched` on the dense backend and report `route`.
@@ -189,69 +184,6 @@ pub(crate) fn route_plan(circuit: &Circuit, backend: Backend) -> RoutePlan {
         }
     }
     RoutePlan::Dense
-}
-
-/// Decides and (for fully-Clifford circuits) executes the route.  `circuit`
-/// has already been validated; `backend` is the dense engine that handles
-/// whatever the tableau does not.
-pub(crate) fn route(
-    circuit: &Circuit,
-    backend: Backend,
-    shots: u64,
-    seed: u64,
-) -> Result<Routed, RunError> {
-    Ok(match route_plan(circuit, backend) {
-        // `Operation::is_clifford` guarantees the tableau accepts every
-        // operation it classifies as Clifford, so this cannot fail — but the
-        // classification is the only wall between the engines, so a defect
-        // degrades to correct-but-slower dense execution instead of an error.
-        RoutePlan::FullyClifford => match run_tableau(circuit, backend, shots, seed) {
-            Ok(outcome) => Routed::Tableau(Box::new(outcome)),
-            Err(_) => Routed::Dense,
-        },
-        RoutePlan::Stitched { stitched, route } => Routed::Stitched { stitched, route },
-        RoutePlan::Dense => Routed::Dense,
-    })
-}
-
-/// Prepares a reusable [`SimArtifact`](crate::SimArtifact) for a *static*
-/// fully-Clifford circuit: the evolution + sampler-construction preamble of
-/// [`run_tableau`], with the sampling loop left to the artifact.  Returns
-/// `None` when the tableau rejects an operation, mirroring [`route`]'s
-/// degrade-to-dense fallback.
-pub(crate) fn prepare_tableau_artifact(
-    circuit: &Circuit,
-    backend: Backend,
-) -> Option<crate::SimArtifact> {
-    debug_assert!(!circuit.is_dynamic(), "cached runs are static-only");
-    let (prefix, mapping) = match circuit.split_terminal_measurements() {
-        Some((prefix, mapping)) => (prefix, mapping),
-        None => return None,
-    };
-    let route = RunRoute {
-        segments: vec![RouteSegment {
-            engine: EngineKind::Tableau,
-            ops: circuit.len(),
-        }],
-    };
-    let strong_start = Instant::now();
-    // The RNG is never consulted: the prefix is measure-free.
-    let mut rng = SmallRng::seed_from_u64(0);
-    let (tab, _record) = tableau::simulate(&prefix, &mut rng).ok()?;
-    let strong_time = strong_start.elapsed();
-    let precompute_start = Instant::now();
-    let sampler = tab.measurement_sampler();
-    let precompute_time = precompute_start.elapsed();
-    Some(crate::SimArtifact::from_tableau(
-        sampler,
-        mapping,
-        circuit.num_qubits(),
-        circuit.num_clbits(),
-        backend,
-        route,
-        strong_time,
-        precompute_time,
-    ))
 }
 
 /// Evolves the leading `prefix_len` Clifford operations on a tableau and, if
@@ -296,12 +228,13 @@ pub(crate) fn stitch_prefix(circuit: &Circuit, prefix_len: usize) -> Option<Circ
 
 /// Draws `shots` shots with the workspace chunk-seeding scheme: chunk `i`
 /// (of [`PARALLEL_CHUNK_SHOTS`] shots) uses its own RNG stream seeded with
-/// [`chunk_stream_seed`]`(seed, i)`.
-fn draw_chunked(
+/// [`chunk_stream_seed`]`(seed, i)`.  Shared by the tableau trajectories
+/// below and the tableau arm of [`SimArtifact::sample`](crate::SimArtifact::sample).
+pub(crate) fn draw_chunked<E>(
     shots: u64,
     seed: u64,
-    mut shot: impl FnMut(&mut SmallRng) -> Result<(), TableauError>,
-) -> Result<(), TableauError> {
+    mut shot: impl FnMut(&mut SmallRng) -> Result<(), E>,
+) -> Result<(), E> {
     let chunk_len = PARALLEL_CHUNK_SHOTS as u64;
     let total_chunks = shots.div_ceil(chunk_len);
     for chunk_index in 0..total_chunks {
@@ -328,88 +261,22 @@ pub(crate) fn map_terminal_words(sample: &[u64], mapping: &[(Qubit, u16)]) -> u6
     out
 }
 
-/// Runs a fully-Clifford circuit end to end on the stabilizer tableau.
-///
-/// Static circuits get one tableau evolution plus affine-subspace sampling;
-/// dynamic ones run shot-by-shot (each shot is a fresh `O(n)`-per-gate
-/// tableau walk, so even thousand-qubit trajectories are cheap).  Registers
-/// wider than 64 qubits histogram the low 64 bits of each sample — the
-/// documented truncation of the `u64`-keyed [`ShotHistogram`].
-fn run_tableau(
+/// Runs a *dynamic* fully-Clifford circuit shot by shot on the stabilizer
+/// tableau: each shot is a fresh `O(n)`-per-gate tableau walk, so even
+/// thousand-qubit trajectories are cheap.  (Static fully-Clifford circuits
+/// are prepared once into a tableau [`SimArtifact`](crate::SimArtifact)
+/// instead.)  Registers wider than 64 qubits histogram the low 64 bits of
+/// each sample — the documented truncation of the `u64`-keyed
+/// [`ShotHistogram`].
+pub(crate) fn run_tableau(
     circuit: &Circuit,
     backend: Backend,
     shots: u64,
     seed: u64,
 ) -> Result<RunOutcome, TableauError> {
     let num_qubits = usize::from(circuit.num_qubits()).max(1);
-    let route = RunRoute {
-        segments: vec![RouteSegment {
-            engine: EngineKind::Tableau,
-            ops: circuit.len(),
-        }],
-    };
-    // Report the stabilizer generator count as the representation size —
-    // the tableau analogue of DD node count / dense amplitude count.
-    let representation_size = 2 * num_qubits as u128;
-
-    if !circuit.is_dynamic() {
-        let (prefix, mapping) = match circuit.split_terminal_measurements() {
-            Some((prefix, mapping)) if !mapping.is_empty() => (prefix, Some(mapping)),
-            // Measure-free static circuit (the split yields an empty
-            // terminal block): sample the full register.
-            Some((prefix, _)) => (prefix, None),
-            None => (circuit.clone(), None),
-        };
-        let strong_start = Instant::now();
-        // The RNG is never consulted: the prefix is measure-free.
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let (tab, _record) = tableau::simulate(&prefix, &mut rng)?;
-        let strong_time = strong_start.elapsed();
-
-        let precompute_start = Instant::now();
-        let sampler = tab.measurement_sampler();
-        let precompute_time = precompute_start.elapsed();
-
-        let sampling_start = Instant::now();
-        let histogram = match mapping {
-            None => {
-                let mut histogram = ShotHistogram::new(circuit.num_qubits());
-                draw_chunked(shots, seed, |rng| {
-                    histogram.record(sampler.sample_u64(rng));
-                    Ok(())
-                })?;
-                histogram
-            }
-            Some(mapping) => {
-                let mut histogram = ShotHistogram::new(circuit.num_clbits());
-                let mut buf = vec![0u64; sampler.num_qubits().div_ceil(64)];
-                draw_chunked(shots, seed, |rng| {
-                    sampler.sample_into(&mut buf, rng);
-                    histogram.record(map_terminal_words(&buf, &mapping));
-                    Ok(())
-                })?;
-                histogram
-            }
-        };
-        let sampling_time = sampling_start.elapsed();
-        return Ok(RunOutcome {
-            backend,
-            histogram,
-            strong_time,
-            precompute_time,
-            sampling_time,
-            representation_size,
-            dd_stats: None,
-            state: None,
-            interruption: None,
-            route,
-            cache: None,
-        });
-    }
-
-    // Dynamic Clifford circuit: per-shot trajectories.  Circuits without
-    // any `Measure` report a terminal full-register sample, exactly like
-    // the dense trajectory engine.
+    // Circuits without any `Measure` report a terminal full-register
+    // sample, exactly like the dense trajectory engine.
     let has_measurements = circuit.has_measurements();
     let width = if has_measurements {
         circuit.num_clbits()
@@ -436,11 +303,13 @@ fn run_tableau(
         strong_time: Duration::ZERO,
         precompute_time: Duration::ZERO,
         sampling_time,
-        representation_size,
+        // The stabilizer generator count: the tableau analogue of DD node
+        // count / dense amplitude count.
+        representation_size: 2 * num_qubits as u128,
         dd_stats: None,
         state: None,
         interruption: None,
-        route,
+        route: RunRoute::tableau(circuit.len()),
         cache: None,
     })
 }
@@ -491,10 +360,14 @@ mod tests {
     #[test]
     fn fully_clifford_circuits_route_to_the_tableau() {
         let ghz = algorithms::ghz(4);
-        let Routed::Tableau(outcome) = route(&ghz, Backend::DecisionDiagram, 2000, 3).unwrap()
-        else {
-            panic!("GHZ is fully Clifford and must route to the tableau");
-        };
+        assert!(matches!(
+            route_plan(&ghz, Backend::DecisionDiagram),
+            RoutePlan::FullyClifford
+        ));
+        let outcome = crate::WeakSimulator::new(Backend::DecisionDiagram)
+            .with_clifford_router()
+            .run(&ghz, 2000, 3)
+            .unwrap();
         assert!(outcome.route.used_tableau());
         assert_eq!(outcome.histogram.shots(), 2000);
         assert!(outcome
@@ -509,8 +382,8 @@ mod tests {
         let mut c = Circuit::new(1);
         c.t(Qubit(0));
         assert!(matches!(
-            route(&c, Backend::DecisionDiagram, 10, 0).unwrap(),
-            Routed::Dense
+            route_plan(&c, Backend::DecisionDiagram),
+            RoutePlan::Dense
         ));
     }
 }

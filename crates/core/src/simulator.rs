@@ -1,27 +1,32 @@
 //! The unified weak-simulation front end.
 //!
-//! # Static vs. dynamic routing
+//! # One static pipeline
 //!
-//! [`WeakSimulator::run`] inspects the circuit once:
+//! [`WeakSimulator::run`] inspects the request once:
 //!
-//! * **Static** circuits (no mid-circuit measurement, no reset — see
-//!   [`Circuit::is_dynamic`]) go through strong simulation followed by the
-//!   one-pass batched sampler, exactly as in the paper.  A trailing block of
+//! * **Static** requests (noise-free, no mid-circuit measurement, no reset,
+//!   no classical condition — see [`Circuit::is_dynamic`]) take the paper's
+//!   two phases: [`prepare_artifact`](WeakSimulator::prepare_artifact)
+//!   strong-simulates once and prepares a [`SimArtifact`] (compiled DD
+//!   sampler, dense prefix sums, or a stabilizer sampler under the Clifford
+//!   router), and every shot is drawn from it.  A trailing block of
 //!   `measure` operations is allowed: it is split off and applied as a
 //!   qubit→classical-bit relabelling of the sampled bitstrings, so circuits
 //!   imported from QASM with a terminal `measure q -> c;` stay on the fast
-//!   path.
+//!   path.  The [`ServiceBroker`](crate::service::ServiceBroker) runs the
+//!   same preparation and keeps the artifact in its cache; a plain `run`
+//!   drops it.
 //! * **Dynamic** circuits — mid-circuit measurement, reset or
-//!   classically-conditioned gates (`if (c==k)` feed-forward) — are handed
-//!   to the [`trajectory`](crate::trajectory) engine, which simulates
-//!   shot-by-shot with collapse at each measurement or reset and resolves
-//!   each condition against the shot's classical record, reusing the same
-//!   SplitMix64 chunk-seeding scheme so the result is seed-deterministic
-//!   independent of the worker-thread count.
+//!   classically-conditioned gates (`if (c==k)` feed-forward) — and noisy
+//!   requests are handed to the [`trajectory`](crate::trajectory) engine,
+//!   which simulates shot-by-shot with collapse at each measurement or
+//!   reset and resolves each condition against the shot's classical
+//!   record, reusing the same SplitMix64 chunk-seeding scheme so the result
+//!   is seed-deterministic independent of the worker-thread count.
 
-use crate::artifact::{ArtifactCache, CacheOutcome, SimArtifact};
+use crate::artifact::{CacheOutcome, SimArtifact};
 use crate::govern::{Interruption, RunGovernor};
-use crate::router::{RoutePlan, Routed, RunRoute};
+use crate::router::{RoutePlan, RunRoute};
 use crate::ShotHistogram;
 use circuit::{Circuit, NoiseModel, Qubit};
 use dd::{DdError, DdPackage, DdStats, StateDd};
@@ -103,6 +108,16 @@ pub enum RunError {
         /// recent build times.
         estimated_wait: Duration,
     },
+    /// A decision-diagram request that must sample a register wider than
+    /// the 64-bit samples the compiled sampler draws: any static run, or a
+    /// trajectory run without `measure` operations (it ends in a
+    /// full-register sample).  It is refused before any simulation runs.
+    /// Fully-Clifford circuits of any width run under
+    /// [`WeakSimulator::with_clifford_router`].
+    RegisterTooWide {
+        /// Number of qubits of the requested simulation.
+        num_qubits: u16,
+    },
 }
 
 impl fmt::Display for RunError {
@@ -132,6 +147,11 @@ impl fmt::Display for RunError {
                 "service overloaded: {queue_depth} request(s) queued for a construction slot, \
                  estimated wait {:.3} s; request shed before admission",
                 estimated_wait.as_secs_f64()
+            ),
+            RunError::RegisterTooWide { num_qubits } => write!(
+                f,
+                "a {num_qubits}-qubit register does not fit the 64-bit samples of the \
+                 decision-diagram sampler"
             ),
         }
     }
@@ -197,10 +217,10 @@ impl From<dd::ApplyError> for RunError {
 /// the simulation itself.
 ///
 /// Cross-call reuse of the *compiled sampler* lives one layer up: a
-/// [`SimArtifact`] detaches the sampler from the package entirely and an
-/// [`ArtifactCache`] shares it across runs, so the strong state carries no
-/// lazily-filled sampler cell — each direct [`WeakSimulator::sample`] call
-/// compiles afresh.
+/// [`SimArtifact`] detaches the sampler from the package entirely and the
+/// [`ServiceBroker`](crate::service::ServiceBroker)'s cache shares it across
+/// runs, so the strong state carries no lazily-filled sampler cell — each
+/// direct [`WeakSimulator::sample`] call compiles afresh.
 #[derive(Debug)]
 pub enum StrongState {
     /// A decision-diagram state together with its owning package.
@@ -292,8 +312,10 @@ pub struct RunOutcome {
     /// hit/miss/eviction counters — for DD-backend runs (for trajectory
     /// runs: summed over all worker packages); `None` on the dense backend.
     pub dd_stats: Option<DdStats>,
-    /// The final strong-simulation state, for follow-up queries.  `None`
-    /// for dynamic circuits, whose final state differs per trajectory.
+    /// The final strong-simulation state, for follow-up queries.  Set only
+    /// when this request strong-simulated on a dense backend; `None` for
+    /// dynamic and noisy runs (the final state differs per trajectory),
+    /// tableau-routed runs and requests served from a cached artifact.
     pub state: Option<StrongState>,
     /// Set when a governed trajectory run was interrupted (budget, deadline
     /// or cancellation): the histogram then holds only the shots completed
@@ -305,11 +327,12 @@ pub struct RunOutcome {
     /// backend; runs under [`WeakSimulator::with_clifford_router`] may report
     /// a tableau-only route or a tableau-prefix + dense-suffix stitch.
     pub route: RunRoute,
-    /// Whether an attached [`ArtifactCache`] served this run
-    /// ([`CacheOutcome::Hit`]: no strong simulation ran) or was populated by
-    /// it ([`CacheOutcome::Miss`]).  `None` when no cache was consulted — no
-    /// cache attached, or the request was cache-ineligible (noisy or
-    /// dynamic).
+    /// Whether the [`ServiceBroker`](crate::service::ServiceBroker)'s cache
+    /// served this run ([`CacheOutcome::Hit`] or
+    /// [`CacheOutcome::Coalesced`]: no strong simulation ran) or was
+    /// populated by it ([`CacheOutcome::Miss`]).  `None` when no cache was
+    /// consulted — a plain [`WeakSimulator::run`], or a cache-ineligible
+    /// (noisy or dynamic) request.
     pub cache: Option<CacheOutcome>,
 }
 
@@ -325,17 +348,18 @@ impl RunOutcome {
     ///
     /// # Panics
     ///
-    /// Panics for trajectory (dynamic-circuit) runs, which have no single
-    /// final state, and for cache *hits*, which skip strong simulation
-    /// entirely (check [`RunOutcome::cache`], or query the shared
-    /// [`SimArtifact`] instead).
+    /// Panics when [`RunOutcome::state`] is `None`: for trajectory
+    /// (dynamic or noisy) runs, which have no single final state, for
+    /// tableau-routed runs, which keep no dense state, and for cache hits
+    /// and coalesced serves, which skip strong simulation entirely (check
+    /// [`RunOutcome::cache`], or query the shared [`SimArtifact`] instead).
     #[must_use]
     pub fn strong(&self) -> &StrongState {
         // The panic is this accessor's documented contract.
         #[allow(clippy::expect_used)]
-        self.state
-            .as_ref()
-            .expect("dynamic-circuit runs have no single final state")
+        self.state.as_ref().expect(
+            "no strong state: trajectory runs, tableau-routed runs and cache hits do not keep one",
+        )
     }
 }
 
@@ -376,7 +400,6 @@ pub struct WeakSimulator {
     threads: Option<usize>,
     construction_threads: Option<usize>,
     clifford_router: bool,
-    cache: Option<ArtifactCache>,
 }
 
 impl WeakSimulator {
@@ -392,25 +415,7 @@ impl WeakSimulator {
             threads: None,
             construction_threads: None,
             clifford_router: false,
-            cache: None,
         }
-    }
-
-    /// Attaches an [`ArtifactCache`]: noise-free static [`run`](Self::run)
-    /// requests are then served through shared [`SimArtifact`]s — a warm
-    /// request skips strong simulation and sampler preparation entirely and
-    /// pays only the per-shot sampling cost, with a histogram bit-identical
-    /// to the uncached run for the same seed.  [`RunOutcome::cache`] reports
-    /// whether the artifact was found or built.
-    ///
-    /// The handle is shared: clone one cache into many simulators (or hand
-    /// it to many threads) and they serve each other's requests.  Noisy and
-    /// dynamic requests bypass the cache — their per-shot evolution has no
-    /// reusable prepared sampler.
-    #[must_use]
-    pub fn with_cache(mut self, cache: &ArtifactCache) -> Self {
-        self.cache = Some(cache.clone());
-        self
     }
 
     /// Enables the segmented Clifford router (see [`crate::router`]):
@@ -541,70 +546,58 @@ impl WeakSimulator {
     /// deterministic RNG seeded by `seed`.
     ///
     /// Static circuits (including those ending in a trailing `measure`
-    /// block) go through one strong simulation followed by batched sampling;
-    /// dynamic circuits (mid-circuit measurement or reset — see
+    /// block) are prepared once into a [`SimArtifact`] — strong simulation
+    /// plus sampler preparation — and every shot is drawn from it; dynamic
+    /// circuits (mid-circuit measurement or reset — see
     /// [`Circuit::is_dynamic`]) are simulated trajectory-by-trajectory via
     /// [`crate::trajectory`].  When a [noise model](Self::with_noise) with
     /// at least one non-trivial channel is attached, *every* circuit runs
     /// through the trajectory engine — noisy circuits are dynamic by
     /// definition, their evolution depends on the sampled noise choices.
     /// Either way the histogram is seed-deterministic independent of the
-    /// worker-thread count.
+    /// worker-thread count.  No cache is consulted; serve through a
+    /// [`ServiceBroker`](crate::service::ServiceBroker) to reuse artifacts
+    /// across requests.
     ///
     /// # Errors
     ///
     /// Returns [`RunError::InvalidCircuit`] for malformed circuits,
-    /// [`RunError::InvalidNoise`] for malformed noise models and
-    /// [`RunError::MemoryOut`] when the dense backend exceeds its budget.
-    /// Under a limited [governor](Self::with_governor), a *static* run that
-    /// hits a limit fails with [`RunError::DdMemoryOut`],
-    /// [`RunError::Deadline`] or [`RunError::Cancelled`]; an interrupted
-    /// *trajectory* run instead returns `Ok` with
-    /// [`RunOutcome::interruption`] set and the completed shots in the
-    /// histogram.
+    /// [`RunError::InvalidNoise`] for malformed noise models,
+    /// [`RunError::MemoryOut`] when the dense backend exceeds its budget and
+    /// [`RunError::RegisterTooWide`] when a decision-diagram run would
+    /// sample more than 64 qubits.  Under a limited [governor](Self::with_governor),
+    /// a *static* run that hits a limit fails with
+    /// [`RunError::DdMemoryOut`], [`RunError::Deadline`] or
+    /// [`RunError::Cancelled`]; an interrupted *trajectory* run instead
+    /// returns `Ok` with [`RunOutcome::interruption`] set and the completed
+    /// shots in the histogram.
     pub fn run(
         &mut self,
         circuit: &Circuit,
         shots: u64,
         seed: u64,
     ) -> Result<RunOutcome, RunError> {
-        // Validate the *whole* circuit (and noise model) up front: the
-        // static path below only strong-simulates the unitary prefix, which
-        // would let a malformed trailing measurement block slip through
-        // unchecked.
+        if !self.validate_request(circuit)? {
+            return self.run_trajectories(circuit, shots, seed);
+        }
+        let (artifact, state) = self.prepare_artifact(circuit)?;
+        Ok(outcome_from_artifact(&artifact, shots, seed, None, state))
+    }
+
+    /// Validates the *whole* circuit and the noise model, and reports
+    /// whether the request is static: noise-free and not dynamic, so one
+    /// prepared [`SimArtifact`] serves every shot (and the broker may cache
+    /// it).  Validation covers the trailing measurement block too, which the
+    /// static path only applies as a relabelling.
+    pub(crate) fn validate_request(&self, circuit: &Circuit) -> Result<bool, RunError> {
         circuit.validate().map_err(RunError::InvalidCircuit)?;
         if let Some(model) = &self.noise {
             model
                 .validate_for(circuit.num_qubits())
                 .map_err(RunError::InvalidNoise)?;
         }
-        let noise_free = !self.noise.as_ref().is_some_and(|model| model.has_noise());
-
-        // Cache-eligible requests — noise-free and static — are served
-        // through the artifact layer when a cache is attached.  Noisy and
-        // dynamic circuits fall through: their per-shot evolution has no
-        // reusable prepared sampler.
-        if noise_free && !circuit.is_dynamic() {
-            if let Some(cache) = self.cache.clone() {
-                return self.run_cached(&cache, circuit, shots, seed);
-            }
-        }
-
-        if self.clifford_router && noise_free {
-            match crate::router::route(circuit, self.backend, shots, seed)? {
-                Routed::Tableau(outcome) => return Ok(*outcome),
-                Routed::Stitched { stitched, route } => {
-                    return self.run_dense(&stitched, shots, seed, route);
-                }
-                Routed::Dense => {}
-            }
-        }
-        self.run_dense(
-            circuit,
-            shots,
-            seed,
-            RunRoute::dense(self.backend, circuit.len()),
-        )
+        let noisy = self.noise.as_ref().is_some_and(NoiseModel::has_noise);
+        Ok(!noisy && !circuit.is_dynamic())
     }
 
     /// The cache key for a `run` request on `circuit` under this simulator's
@@ -638,47 +631,14 @@ impl WeakSimulator {
         [a, b]
     }
 
-    /// Serves a cache-eligible request through the artifact layer: look the
-    /// request fingerprint up, build-and-insert on a miss, then sample the
-    /// shared artifact.  The returned histogram is bit-identical to the
-    /// uncached run for the same seed on both hits and misses.
-    fn run_cached(
-        &self,
-        cache: &ArtifactCache,
-        circuit: &Circuit,
-        shots: u64,
-        seed: u64,
-    ) -> Result<RunOutcome, RunError> {
-        let key = self.request_fingerprint(circuit);
-        if let Some(artifact) = cache.get(key) {
-            return Ok(outcome_from_artifact(
-                &artifact,
-                shots,
-                seed,
-                CacheOutcome::Hit,
-                None,
-            ));
-        }
-
-        let (artifact, state) = self.prepare_artifact(circuit)?;
-        let artifact = cache.insert(key, artifact);
-        Ok(outcome_from_artifact(
-            &artifact,
-            shots,
-            seed,
-            CacheOutcome::Miss,
-            state,
-        ))
-    }
-
     /// Builds the [`SimArtifact`] for a validated, noise-free, static
-    /// `circuit`, mirroring the routing semantics of [`run`](Self::run)
-    /// exactly: the router (when enabled) may serve a fully-Clifford circuit
-    /// from a tableau sampler or stitch a Clifford prefix, and a tableau
-    /// rejection degrades to the dense path just like the uncached run.
+    /// `circuit` — the expensive half of every static request, cached or
+    /// not.  The router (when enabled) may serve a fully-Clifford circuit
+    /// from a tableau sampler or stitch a Clifford prefix; a tableau
+    /// rejection degrades to the dense path.
     ///
-    /// Also returns the [`StrongState`] when the dense path built one, so a
-    /// cache miss can still expose [`RunOutcome::strong`].
+    /// Also returns the [`StrongState`] when the dense path built one, so
+    /// the outcome can expose [`RunOutcome::strong`].
     pub(crate) fn prepare_artifact(
         &self,
         circuit: &Circuit,
@@ -686,13 +646,14 @@ impl WeakSimulator {
         if self.clifford_router {
             match crate::router::route_plan(circuit, self.backend) {
                 RoutePlan::FullyClifford => {
-                    if let Some(artifact) =
-                        crate::router::prepare_tableau_artifact(circuit, self.backend)
-                    {
+                    // `Operation::is_clifford` guarantees the tableau
+                    // accepts every operation it classifies as Clifford, but
+                    // the classification is the only wall between the
+                    // engines: a defect degrades to correct-but-slower dense
+                    // execution instead of an error.
+                    if let Some(artifact) = SimArtifact::from_clifford(circuit, self.backend) {
                         return Ok((artifact, None));
                     }
-                    // Tableau rejection (unsupported structure) degrades to
-                    // dense, mirroring `route`'s fallback.
                 }
                 RoutePlan::Stitched { stitched, route } => {
                     return self.prepare_dense_artifact(&stitched, route);
@@ -703,15 +664,19 @@ impl WeakSimulator {
         self.prepare_dense_artifact(circuit, RunRoute::dense(self.backend, circuit.len()))
     }
 
-    /// The dense arm of [`prepare_artifact`]: strong-simulate the unitary
-    /// prefix and compile the backend's prepared sampler into an artifact.
+    /// The dense arm of [`prepare_artifact`](Self::prepare_artifact):
+    /// strong-simulate the unitary prefix and compile the backend's prepared
+    /// sampler into an artifact.
     fn prepare_dense_artifact(
         &self,
         circuit: &Circuit,
         route: RunRoute,
     ) -> Result<(SimArtifact, Option<StrongState>), RunError> {
+        // Refuse a register the sampler cannot draw before paying for
+        // strong simulation.
+        crate::artifact::check_sample_width(self.backend, circuit.num_qubits())?;
         // `split_terminal_measurements` returns `None` only for dynamic
-        // circuits, which the cache hook already filtered out.
+        // circuits, which `validate_request` already routed elsewhere.
         let (prefix, mapping) = circuit
             .split_terminal_measurements()
             .ok_or(RunError::DynamicCircuit { op_index: 0 })?;
@@ -723,95 +688,60 @@ impl WeakSimulator {
         Ok((artifact, Some(state)))
     }
 
-    /// The dense (non-tableau) execution path shared by unrouted, stitched
-    /// and fallback runs: the pre-router body of [`run`](Self::run).  The
-    /// caller has already validated `circuit` (stitched circuits are valid
-    /// by construction) and chosen the `route` to report.
-    fn run_dense(
+    /// The per-shot path for dynamic or noisy requests: the trajectory
+    /// engine, or — under the Clifford router, noise-free only — tableau
+    /// trajectories for fully-Clifford circuits and trajectories of the
+    /// stitched circuit for a basis-state Clifford prefix.
+    pub(crate) fn run_trajectories(
         &self,
         circuit: &Circuit,
         shots: u64,
         seed: u64,
-        route: RunRoute,
     ) -> Result<RunOutcome, RunError> {
         let noise = self.noise.as_ref().filter(|model| model.has_noise());
-
-        // Measure-free noiseless circuits — every classic benchmark — skip
-        // the prefix-splitting clone entirely.
-        if noise.is_none() && !circuit.is_dynamic() && !circuit.has_measurements() {
-            let strong_start = Instant::now();
-            let state = self.strong(circuit)?;
-            let strong_time = strong_start.elapsed();
-            let (histogram, precompute_time, sampling_time) =
-                Self::sample_with_record(&state, shots, seed, None)?;
-            return Ok(RunOutcome {
-                backend: self.backend,
-                representation_size: state.representation_size(),
-                dd_stats: state.dd_stats(),
-                histogram,
-                strong_time,
-                precompute_time,
-                sampling_time,
-                state: Some(state),
-                interruption: None,
-                route,
-                cache: None,
-            });
+        let plan = if self.clifford_router && noise.is_none() {
+            crate::router::route_plan(circuit, self.backend)
+        } else {
+            RoutePlan::Dense
+        };
+        let (stitched, route) = match plan {
+            RoutePlan::Stitched { stitched, route } => (Some(stitched), route),
+            // A tableau rejection degrades to the dense trajectory engine,
+            // as in `prepare_artifact`.
+            RoutePlan::FullyClifford => {
+                match crate::router::run_tableau(circuit, self.backend, shots, seed) {
+                    Ok(outcome) => return Ok(outcome),
+                    Err(_) => (None, RunRoute::dense(self.backend, circuit.len())),
+                }
+            }
+            RoutePlan::Dense => (None, RunRoute::dense(self.backend, circuit.len())),
+        };
+        let circuit = stitched.as_ref().unwrap_or(circuit);
+        // Without a `measure`, every trajectory ends in a full-register
+        // sample.
+        if !circuit.has_measurements() {
+            crate::artifact::check_sample_width(self.backend, circuit.num_qubits())?;
         }
-
-        let terminal_split = if noise.is_none() {
-            circuit.split_terminal_measurements()
-        } else {
-            // Noisy runs always take the trajectory engine: even a trailing
-            // measurement block needs its per-shot noise realization.
-            None
-        };
-        let Some((prefix, mapping)) = terminal_split else {
-            let outcome = crate::trajectory::run_trajectories(
-                self.backend,
-                circuit,
-                noise,
-                shots,
-                seed,
-                self.threads.unwrap_or_else(rayon::current_num_threads),
-                self.memory_budget,
-                &self.governor,
-            )?;
-            return Ok(RunOutcome {
-                backend: self.backend,
-                representation_size: outcome.representation_size,
-                dd_stats: outcome.dd_stats,
-                histogram: outcome.histogram,
-                strong_time: Duration::ZERO,
-                precompute_time: outcome.precompute_time,
-                sampling_time: outcome.sampling_time,
-                state: None,
-                interruption: outcome.interruption,
-                route,
-                cache: None,
-            });
-        };
-
-        let strong_start = Instant::now();
-        let state = self.strong(&prefix)?;
-        let strong_time = strong_start.elapsed();
-        let record = if mapping.is_empty() {
-            None
-        } else {
-            Some((mapping.as_slice(), circuit.num_clbits()))
-        };
-        let (histogram, precompute_time, sampling_time) =
-            Self::sample_with_record(&state, shots, seed, record)?;
+        let outcome = crate::trajectory::run_trajectories(
+            self.backend,
+            circuit,
+            noise,
+            shots,
+            seed,
+            self.threads.unwrap_or_else(rayon::current_num_threads),
+            self.memory_budget,
+            &self.governor,
+        )?;
         Ok(RunOutcome {
             backend: self.backend,
-            representation_size: state.representation_size(),
-            dd_stats: state.dd_stats(),
-            histogram,
-            strong_time,
-            precompute_time,
-            sampling_time,
-            state: Some(state),
-            interruption: None,
+            representation_size: outcome.representation_size,
+            dd_stats: outcome.dd_stats,
+            histogram: outcome.histogram,
+            strong_time: Duration::ZERO,
+            precompute_time: outcome.precompute_time,
+            sampling_time: outcome.sampling_time,
+            state: None,
+            interruption: outcome.interruption,
             route,
             cache: None,
         })
@@ -820,11 +750,11 @@ impl WeakSimulator {
     /// Draws `shots` samples from an already strong-simulated state.
     ///
     /// Returns the histogram together with the precomputation time (prefix
-    /// sums or sampler compilation) and the pure sampling time.  On the
-    /// decision-diagram backend the sampler is compiled *per call*; to reuse
-    /// a compiled sampler across calls (or threads, or runs), go through the
-    /// artifact layer instead — [`SimArtifact`] owns the long-lived arena
-    /// and [`ArtifactCache`] shares it across requests.
+    /// sums or sampler compilation) and the pure sampling time.  The
+    /// sampler is prepared *per call* as a throwaway [`SimArtifact`]; to
+    /// reuse one across calls (or threads, or runs), serve requests through
+    /// a [`ServiceBroker`](crate::service::ServiceBroker), whose cache keeps
+    /// the artifacts.
     ///
     /// The decision-diagram path draws the batch on every available worker
     /// thread; the output is deterministic for a given `seed` regardless of
@@ -838,55 +768,51 @@ impl WeakSimulator {
     /// produced `state`: on a governed state it can fail with
     /// [`RunError::Deadline`] or [`RunError::Cancelled`] (compilation
     /// allocates no decision-diagram nodes, so budgets cannot trip here).
-    /// Ungoverned states never fail.
+    /// A decision-diagram state on more than 64 qubits fails with
+    /// [`RunError::RegisterTooWide`].  Ungoverned states never fail
+    /// otherwise.
     pub fn sample(
         state: &StrongState,
         shots: u64,
         seed: u64,
     ) -> Result<(ShotHistogram, Duration, Duration), RunError> {
-        Self::sample_with_record(state, shots, seed, None)
-    }
-
-    /// [`sample`](Self::sample), optionally relabelling each sampled
-    /// bitstring through a trailing-measurement `(qubit, cbit)` mapping into
-    /// a `width`-bit classical record.
-    fn sample_with_record(
-        state: &StrongState,
-        shots: u64,
-        seed: u64,
-        record: Option<(&[(Qubit, u16)], u16)>,
-    ) -> Result<(ShotHistogram, Duration, Duration), RunError> {
-        state
-            .backend()
-            .engine()
-            .sample_with_record(state, shots, seed, record)
+        let route = RunRoute::dense(state.backend(), 0);
+        let artifact = SimArtifact::from_dense(state, Vec::new(), 0, route, Duration::ZERO)?;
+        let sampling_start = Instant::now();
+        let histogram = artifact.sample(shots, seed);
+        Ok((
+            histogram,
+            artifact.build_precompute_time(),
+            sampling_start.elapsed(),
+        ))
     }
 }
 
-/// Builds the [`RunOutcome`] for a request served from a prepared artifact,
-/// shared by the in-simulator cache path and the service broker.  Builder
-/// outcomes ([`CacheOutcome::Miss`]) report the artifact's build times (and
-/// carry the strong state when the dense path produced one); hit and
-/// coalesced outcomes paid only the per-shot draw.
+/// Builds the [`RunOutcome`] of a static request from its prepared artifact:
+/// the one place a noise-free static outcome is assembled, for plain runs
+/// (`cache: None`) and the service broker alike.  Builder outcomes (`None`
+/// and [`CacheOutcome::Miss`]) report the artifact's build times and carry
+/// the strong state when the dense path produced one; hit and coalesced
+/// outcomes paid only the per-shot draw.
 pub(crate) fn outcome_from_artifact(
     artifact: &SimArtifact,
     shots: u64,
     seed: u64,
-    cache: CacheOutcome,
+    cache: Option<CacheOutcome>,
     state: Option<StrongState>,
 ) -> RunOutcome {
     let sampling_start = Instant::now();
     let histogram = artifact.sample(shots, seed);
     let sampling_time = sampling_start.elapsed();
     let (strong_time, precompute_time) = match cache {
-        CacheOutcome::Miss => (
+        None | Some(CacheOutcome::Miss) => (
             artifact.build_strong_time(),
             artifact.build_precompute_time(),
         ),
         // A warm or coalesced request pays nothing but the per-shot draw:
         // strong simulation and sampler preparation were amortized into the
         // artifact by the build that published it.
-        CacheOutcome::Hit | CacheOutcome::Coalesced => (Duration::ZERO, Duration::ZERO),
+        Some(CacheOutcome::Hit | CacheOutcome::Coalesced) => (Duration::ZERO, Duration::ZERO),
     };
     RunOutcome {
         backend: artifact.backend(),
@@ -899,7 +825,7 @@ pub(crate) fn outcome_from_artifact(
         state,
         interruption: None,
         route: artifact.route().clone(),
-        cache: Some(cache),
+        cache,
     }
 }
 
@@ -1028,36 +954,43 @@ mod tests {
 
     #[test]
     fn cached_runs_hit_after_a_miss_and_stay_bit_identical() {
+        use crate::artifact::ArtifactCache;
+        use crate::service::{ServiceBroker, ServiceConfig};
         let circuit = algorithms::ghz(8);
         let cache = ArtifactCache::unbounded();
-        let mut cached = WeakSimulator::new(Backend::DecisionDiagram).with_cache(&cache);
+        let broker = ServiceBroker::new(cache.clone(), ServiceConfig::default());
+        let cached = WeakSimulator::new(Backend::DecisionDiagram);
         let mut uncached = WeakSimulator::new(Backend::DecisionDiagram);
 
-        let cold = cached.run(&circuit, 2000, 5).unwrap();
+        let cold = broker.serve(&cached, &circuit, 2000, 5).unwrap();
         assert_eq!(cold.cache, Some(CacheOutcome::Miss));
         assert!(
             cold.state.is_some(),
             "a miss still exposes the strong state"
         );
 
-        let warm = cached.run(&circuit, 2000, 5).unwrap();
+        let warm = broker.serve(&cached, &circuit, 2000, 5).unwrap();
         assert_eq!(warm.cache, Some(CacheOutcome::Hit));
         assert!(warm.state.is_none(), "a hit never rebuilds the state");
         assert_eq!(warm.strong_time, Duration::ZERO);
         assert_eq!(warm.precompute_time, Duration::ZERO);
 
         let plain = uncached.run(&circuit, 2000, 5).unwrap();
-        assert_eq!(plain.cache, None, "no cache attached, none consulted");
+        assert_eq!(plain.cache, None, "a plain run consults no cache");
         assert_eq!(cold.histogram, plain.histogram, "miss matches uncached");
         assert_eq!(warm.histogram, plain.histogram, "hit matches uncached");
 
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
 
-        // A second simulator sharing the cache handle hits immediately.
-        let shared = WeakSimulator::new(Backend::DecisionDiagram)
-            .with_cache(&cache)
-            .run(&circuit, 2000, 5)
+        // A second broker sharing the cache handle hits immediately.
+        let shared = ServiceBroker::new(cache.clone(), ServiceConfig::default())
+            .serve(
+                &WeakSimulator::new(Backend::DecisionDiagram),
+                &circuit,
+                2000,
+                5,
+            )
             .unwrap();
         assert_eq!(shared.cache, Some(CacheOutcome::Hit));
         assert_eq!(shared.histogram, plain.histogram);

@@ -7,7 +7,15 @@
 
 use circuit::{Circuit, NoiseChannel, NoiseModel, OneQubitGate, Qubit};
 use mathkit::Angle;
-use weaksim::{ArtifactCache, Backend, CacheOutcome, RunGovernor, WeakSimulator};
+use weaksim::{
+    ArtifactCache, Backend, CacheOutcome, EngineKind, RouteSegment, RunGovernor, ServiceBroker,
+    ServiceConfig, WeakSimulator,
+};
+
+/// A broker serving from `cache` (a shared handle, so tests can inspect it).
+fn broker(cache: &ArtifactCache) -> ServiceBroker {
+    ServiceBroker::new(cache.clone(), ServiceConfig::default())
+}
 
 /// Runs `circuit` cold and warm through a fresh cache plus once without any
 /// cache, asserting that all three histograms are bit-identical and the
@@ -18,11 +26,10 @@ fn assert_cached_runs_bit_identical(mut sim: WeakSimulator, circuit: &Circuit) {
     let uncached = sim.run(circuit, shots, seed).unwrap();
     assert_eq!(uncached.cache, None);
 
-    let cache = ArtifactCache::unbounded();
-    let mut sim = sim.with_cache(&cache);
-    let cold = sim.run(circuit, shots, seed).unwrap();
+    let broker = broker(&ArtifactCache::unbounded());
+    let cold = broker.serve(&sim, circuit, shots, seed).unwrap();
     assert_eq!(cold.cache, Some(CacheOutcome::Miss));
-    let warm = sim.run(circuit, shots, seed).unwrap();
+    let warm = broker.serve(&sim, circuit, shots, seed).unwrap();
     assert_eq!(warm.cache, Some(CacheOutcome::Hit));
 
     assert_eq!(cold.histogram, uncached.histogram, "cold != uncached");
@@ -54,6 +61,41 @@ fn routed_tableau_cached_runs_match_uncached_bit_for_bit() {
     let probe = sim.run(&circuit, 100, 1).unwrap();
     assert!(probe.route.used_tableau(), "router must pick the tableau");
     assert_cached_runs_bit_identical(sim, &circuit);
+}
+
+#[test]
+fn stitched_cached_runs_match_unrouted_bit_for_bit() {
+    // `x(q0)` is a Clifford prefix ending in the basis state |001>: the
+    // router folds it into an `X` preparation and runs `t(q1)` plus the
+    // measurements densely.
+    let mut circuit = Circuit::new(3);
+    circuit.x(Qubit(0)).t(Qubit(1));
+    for q in 0..3 {
+        circuit.measure(Qubit(q), q);
+    }
+    let routed = WeakSimulator::new(Backend::DecisionDiagram).with_clifford_router();
+    let outcome = broker(&ArtifactCache::unbounded())
+        .serve(&routed, &circuit, 20_000, 0xfeed_5eed)
+        .unwrap();
+    assert_eq!(
+        outcome.route.segments,
+        vec![
+            RouteSegment {
+                engine: EngineKind::Tableau,
+                ops: 1,
+            },
+            RouteSegment {
+                engine: EngineKind::DecisionDiagram,
+                ops: 4,
+            },
+        ],
+        "a two-segment stitched route"
+    );
+    let unrouted = WeakSimulator::new(Backend::DecisionDiagram)
+        .run(&circuit, 20_000, 0xfeed_5eed)
+        .unwrap();
+    assert_eq!(outcome.histogram, unrouted.histogram, "stitch != unrouted");
+    assert_cached_runs_bit_identical(routed, &circuit);
 }
 
 #[test]
@@ -121,8 +163,8 @@ fn request_fingerprint_is_sensitive_to_the_whole_request() {
 fn shared_artifacts_sample_concurrently() {
     let circuit = algorithms::w_state(6);
     let cache = ArtifactCache::unbounded();
-    let mut sim = WeakSimulator::new(Backend::DecisionDiagram).with_cache(&cache);
-    let reference = sim.run(&circuit, 10_000, 7).unwrap();
+    let sim = WeakSimulator::new(Backend::DecisionDiagram);
+    let reference = broker(&cache).serve(&sim, &circuit, 10_000, 7).unwrap();
 
     let artifact = cache
         .get(sim.request_fingerprint(&circuit))
@@ -156,17 +198,18 @@ fn byte_budget_evicts_lru_and_rebuilds_transparently() {
 
     // Size the budget to hold exactly one of the two artifacts.
     let probe = ArtifactCache::unbounded();
-    let mut sizing = WeakSimulator::new(Backend::DecisionDiagram).with_cache(&probe);
-    sizing.run(&a, 100, 1).unwrap();
-    sizing.run(&b, 100, 1).unwrap();
+    let sim = WeakSimulator::new(Backend::DecisionDiagram);
+    let sizing = broker(&probe);
+    sizing.serve(&sim, &a, 100, 1).unwrap();
+    sizing.serve(&sim, &b, 100, 1).unwrap();
     let both = probe.stats().bytes;
     assert_eq!(probe.stats().entries, 2);
 
     let cache = ArtifactCache::governed(&RunGovernor::unlimited().with_byte_budget(both - 1));
-    let mut sim = WeakSimulator::new(Backend::DecisionDiagram).with_cache(&cache);
-    let cold_a = sim.run(&a, 5_000, 3).unwrap();
+    let broker = broker(&cache);
+    let cold_a = broker.serve(&sim, &a, 5_000, 3).unwrap();
     assert_eq!(cold_a.cache, Some(CacheOutcome::Miss));
-    let cold_b = sim.run(&b, 5_000, 3).unwrap();
+    let cold_b = broker.serve(&sim, &b, 5_000, 3).unwrap();
     assert_eq!(cold_b.cache, Some(CacheOutcome::Miss));
 
     // `b` displaced `a` (least recently used), so `a` misses and is rebuilt —
@@ -174,12 +217,12 @@ fn byte_budget_evicts_lru_and_rebuilds_transparently() {
     let stats = cache.stats();
     assert!(stats.evictions >= 1, "budget must have forced an eviction");
     assert!(stats.bytes < both, "budget must hold after eviction");
-    let rebuilt_a = sim.run(&a, 5_000, 3).unwrap();
+    let rebuilt_a = broker.serve(&sim, &a, 5_000, 3).unwrap();
     assert_eq!(rebuilt_a.cache, Some(CacheOutcome::Miss));
     assert_eq!(rebuilt_a.histogram, cold_a.histogram);
 
     // And `a`'s rebuild in turn displaced `b`; a fresh `b` run still matches.
-    let rebuilt_b = sim.run(&b, 5_000, 3).unwrap();
+    let rebuilt_b = broker.serve(&sim, &b, 5_000, 3).unwrap();
     assert_eq!(rebuilt_b.cache, Some(CacheOutcome::Miss));
     assert_eq!(rebuilt_b.histogram, cold_b.histogram);
 }
@@ -210,14 +253,15 @@ fn touch_on_hit_keeps_broker_served_entries_off_the_eviction_block() {
     let (a, b, c) = (variant(0.25), variant(0.5), variant(0.75));
 
     let probe = ArtifactCache::unbounded();
-    let mut sizing = WeakSimulator::new(Backend::DecisionDiagram).with_cache(&probe);
-    sizing.run(&a, 100, 1).unwrap();
-    sizing.run(&b, 100, 1).unwrap();
+    let sim = WeakSimulator::new(Backend::DecisionDiagram);
+    let sizing = broker(&probe);
+    sizing.serve(&sim, &a, 100, 1).unwrap();
+    sizing.serve(&sim, &b, 100, 1).unwrap();
     let two = probe.stats().bytes;
     assert_eq!(probe.stats().entries, 2);
 
     let cache = ArtifactCache::governed(&RunGovernor::unlimited().with_byte_budget(two));
-    let mut sim = WeakSimulator::new(Backend::DecisionDiagram).with_cache(&cache);
+    let broker = broker(&cache);
     let sim_ro = WeakSimulator::new(Backend::DecisionDiagram);
     let (key_a, key_b) = (
         sim_ro.request_fingerprint(&a),
@@ -226,10 +270,10 @@ fn touch_on_hit_keeps_broker_served_entries_off_the_eviction_block() {
 
     // Insert a then b, then interleave a broker-style slot-serve of `a`
     // (touch, not get) before inserting c at the full budget.
-    sim.run(&a, 100, 1).unwrap();
-    sim.run(&b, 100, 1).unwrap();
+    broker.serve(&sim, &a, 100, 1).unwrap();
+    broker.serve(&sim, &b, 100, 1).unwrap();
     assert!(cache.touch(key_a), "a is resident and must be touchable");
-    sim.run(&c, 100, 1).unwrap();
+    broker.serve(&sim, &c, 100, 1).unwrap();
 
     // The victim must be b — the true least-recently-*used* entry — not a.
     assert!(
@@ -246,18 +290,18 @@ fn touch_on_hit_keeps_broker_served_entries_off_the_eviction_block() {
 #[test]
 fn noisy_and_dynamic_requests_bypass_the_cache() {
     let cache = ArtifactCache::unbounded();
+    let broker = broker(&cache);
 
     let mut dynamic = algorithms::ghz(3);
     dynamic.measure(Qubit(0), 0);
     dynamic.h(Qubit(1)); // gate after measurement: dynamic
-    let mut sim = WeakSimulator::new(Backend::DecisionDiagram).with_cache(&cache);
-    let outcome = sim.run(&dynamic, 500, 1).unwrap();
+    let sim = WeakSimulator::new(Backend::DecisionDiagram);
+    let outcome = broker.serve(&sim, &dynamic, 500, 1).unwrap();
     assert_eq!(outcome.cache, None);
 
-    let mut noisy = WeakSimulator::new(Backend::DecisionDiagram)
-        .with_noise(NoiseModel::new().with_gate_noise(NoiseChannel::depolarizing(0.02)))
-        .with_cache(&cache);
-    let outcome = noisy.run(&algorithms::ghz(3), 500, 1).unwrap();
+    let noisy = WeakSimulator::new(Backend::DecisionDiagram)
+        .with_noise(NoiseModel::new().with_gate_noise(NoiseChannel::depolarizing(0.02)));
+    let outcome = broker.serve(&noisy, &algorithms::ghz(3), 500, 1).unwrap();
     assert_eq!(outcome.cache, None);
 
     let stats = cache.stats();

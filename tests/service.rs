@@ -107,6 +107,47 @@ fn eight_thread_soak_builds_each_fingerprint_exactly_once() {
 }
 
 #[test]
+fn wide_dd_requests_fail_typed_on_run_and_serve() {
+    // 70 qubits do not fit the DD sampler's 64-bit samples: both entry
+    // points must refuse with a typed error (before strong simulation),
+    // with or without a terminal measurement block, and build nothing.
+    let mut circuit = Circuit::new(70);
+    for q in 0..70 {
+        circuit.h(circuit::Qubit(q)).t(circuit::Qubit(q));
+    }
+    let mut measured = circuit.clone();
+    for q in 0..8 {
+        measured.measure(circuit::Qubit(q), q);
+    }
+    let broker = ServiceBroker::new(ArtifactCache::unbounded(), ServiceConfig::default());
+    let mut sim = WeakSimulator::new(Backend::DecisionDiagram);
+    for c in [&circuit, &measured] {
+        let expected = Err(RunError::RegisterTooWide { num_qubits: 70 });
+        assert_eq!(sim.run(c, 10, SEED).map(|o| o.histogram), expected);
+        assert_eq!(
+            broker.serve(&sim, c, 10, SEED).map(|o| o.histogram),
+            expected
+        );
+    }
+    assert_eq!(broker.stats().builds, 0);
+    assert!(broker.cache().is_empty());
+
+    // The trajectory path ends measure-free circuits in the same
+    // full-register sample, so noisy and dynamic requests fail typed too.
+    let noisy = WeakSimulator::new(Backend::DecisionDiagram).with_noise(
+        circuit::NoiseModel::new().with_gate_noise(circuit::NoiseChannel::bit_flip(0.01)),
+    );
+    let mut dynamic = circuit.clone();
+    dynamic.reset(circuit::Qubit(0));
+    for (sim, c) in [(&noisy, &circuit), (&sim, &dynamic)] {
+        assert_eq!(
+            broker.serve(sim, c, 10, SEED).map(|o| o.histogram),
+            Err(RunError::RegisterTooWide { num_qubits: 70 })
+        );
+    }
+}
+
+#[test]
 fn full_slots_shed_with_overloaded_and_recover() {
     // One construction slot, zero queue: any cold request arriving while a
     // build is in flight is shed immediately.  The in-flight build is a
